@@ -6,10 +6,9 @@ Usage::
     python benchmarks/run_all.py fig11 fig08        # selected experiments
     python benchmarks/run_all.py parallel --jobs 8  # parallel scaling only
 
-The reports print the same rows/series the paper plots; EXPERIMENTS.md
-records paper-vs-measured shape for each. Absolute numbers differ from
-the paper (Python/numpy kernels + synthetic data at ~1/1000 size);
-orderings, slopes and crossovers are the reproduction target.
+The reports print the same rows/series the paper plots. Absolute numbers
+differ from the paper (Python/numpy kernels + synthetic data at ~1/1000
+size); orderings, slopes and crossovers are the reproduction target.
 
 The ``parallel`` experiment sweeps the chunk pipeline's worker count
 across all three backends (``serial`` / ``threads`` / ``processes``)
@@ -21,11 +20,6 @@ machine's CPU count — scaling is bounded by the hardware, so a 1-core
 container legitimately records flat curves) in ``BENCH_parallel.json``:
 ``--seed`` pins the dataset generator, ``--jobs`` sets the largest
 worker count measured.
-
-The ``compressed`` experiment runs the selective workload under
-``scan_mode=decoded`` vs ``scan_mode=compressed`` at ``jobs=1`` and
-records timings, the scheduler's pruning counters, per-query speedups
-and the cross-mode result-parity check in ``BENCH_compressed.json``.
 
 The ``serve_http`` experiment drives a live :class:`HttpCohortServer`
 with ``http.client`` worker threads: p50/p99 latency and throughput at
@@ -80,7 +74,6 @@ from pathlib import Path
 
 from repro.bench import (
     compaction_records,
-    compressed_scan_records,
     kernel_parity_records,
     materialized_view_records,
     operator_tree_records,
@@ -148,61 +141,6 @@ def run_parallel(max_jobs: int, seed: int, out: Path) -> None:
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n[parallel results written to {out}]")
-
-
-def run_compressed(seed: int, out: Path, scale: int = 8,
-                   chunk_rows: int = 1024, repeat: int = 5) -> None:
-    """Run the compressed-vs-decoded scan experiment and record
-    BENCH_compressed.json (timings + pruning counters + parity)."""
-    records = compressed_scan_records(scale=scale, chunk_rows=chunk_rows,
-                                      repeat=repeat, jobs=1)
-    by_query: dict[str, dict[str, dict]] = {}
-    for record in records:
-        by_query.setdefault(record["query"], {})[record["scan_mode"]] \
-            = record
-    parity_ok = all(
-        modes["decoded"]["result_digest"]
-        == modes["compressed"]["result_digest"]
-        for modes in by_query.values())
-    summary = []
-    print("\ncompressed-domain scans vs decoded (jobs=1):")
-    for qname, modes in by_query.items():
-        dec, com = modes["decoded"], modes["compressed"]
-        speedup = (dec["seconds"] / com["seconds"]
-                   if com["seconds"] else None)
-        summary.append({
-            "query": qname,
-            "selective": com["selective"],
-            "speedup": round(speedup, 3) if speedup else None,
-            "chunks_pruned_compressed": com["chunks_pruned"],
-            "chunks_pruned_decoded": dec["chunks_pruned"],
-        })
-        print(f"  {qname:<14} decoded {dec['seconds']:.5f}s "
-              f"(pruned {dec['chunks_pruned']}/{dec['chunks_total']})  "
-              f"compressed {com['seconds']:.5f}s "
-              f"(pruned {com['chunks_pruned']}/{com['chunks_total']})  "
-              f"x{speedup:.2f}")
-    selective_ok = all(
-        s["speedup"] is not None and s["speedup"] > 1.0
-        and s["chunks_pruned_compressed"] > 0
-        for s in summary if s["selective"])
-    print(f"  parity: {'OK' if parity_ok else 'MISMATCH'}; "
-          f"selective queries beat decoded: "
-          f"{'yes' if selective_ok else 'NO'}")
-    payload = {
-        "experiment": "compressed_scan",
-        "seed": seed,
-        "scale": scale,
-        "chunk_rows": chunk_rows,
-        "jobs": 1,
-        "records": records,
-        "summary": summary,
-        "parity_ok": parity_ok,
-        "selective_ok": selective_ok,
-        **kernel_parity(scale, chunk_rows),
-    }
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n[compressed-scan results written to {out}]")
 
 
 def run_service(seed: int, out: Path, scale: int = 8,
@@ -437,11 +375,6 @@ def main(argv: list[str] | None = None) -> int:
                         / "BENCH_parallel.json",
                         help="where the parallel experiment records its "
                              "timings")
-    parser.add_argument("--compressed-out", type=Path,
-                        default=Path(__file__).resolve().parent.parent
-                        / "BENCH_compressed.json",
-                        help="where the compressed-scan experiment "
-                             "records its timings")
     parser.add_argument("--service-out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_service.json",
@@ -474,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
                              "records its timings")
     parser.add_argument("--scale", type=int, default=None,
                         help="override the dataset scale of the "
-                             "compressed/service experiments (smoke "
+                             "recorded experiments (smoke "
                              "runs use a small value)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -487,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiments: {unknown}; "
               f"available: {list(EXPERIMENTS)}")
         return 2
-    recorded = ("parallel", "compressed", "service", "serve_http",
+    recorded = ("parallel", "service", "serve_http",
                 "shards", "views", "compaction", "operators")
     figures = [n for n in selected if n not in recorded]
     if figures:
@@ -496,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
             return code
     if "parallel" in selected:
         run_parallel(args.jobs, args.seed, args.out)
-    if "compressed" in selected:
-        run_compressed(args.seed, args.compressed_out,
-                       **({"scale": args.scale} if args.scale else {}))
     if "service" in selected:
         run_service(args.seed, args.service_out,
                     **({"scale": args.scale} if args.scale else {}))

@@ -79,16 +79,15 @@ print("\nSame rows with jobs=4 over the chunk pipeline: OK")
 
 # -- 5. compressed-domain scans ------------------------------------------------
 #
-# scan_mode selects the predicate-evaluation domain: "compressed"
-# evaluates the birth/age conditions against the encoded chunks (chunk
-# dictionaries, segment MIN/MAX, persisted zone maps) and prunes chunks
-# from metadata alone; "decoded" materializes code arrays first. Rows
-# are identical either way.
+# The scan evaluates the birth/age conditions against the encoded
+# chunks (chunk dictionaries, segment MIN/MAX) and prunes chunks from
+# metadata alone (persisted zone maps, chunk dictionaries). The
+# tuple-at-a-time kernel with pruning off is the reference: it decodes
+# row by row and skips nothing, and returns the same rows.
 
-compressed = engine.query(QUERY, scan_mode="compressed")
-decoded = engine.query(QUERY, scan_mode="decoded")
-assert compressed.rows == decoded.rows == result.rows
-_, stats = engine.query_with_stats(QUERY)       # scan_mode="auto"
+reference = engine.query(QUERY, executor="iterator", prune=False)
+assert reference.rows == result.rows
+_, stats = engine.query_with_stats(QUERY)
 print(f"Compressed-domain scan parity: OK "
       f"({stats.chunks_pruned}/{stats.chunks_total} chunks pruned, "
       f"{stats.chunks_pruned_zone} via zone maps/bounds)")

@@ -2,8 +2,8 @@
 
 Each ``figXX_*`` function runs the experiment at laptop scale and returns
 :class:`~repro.bench.harness.Report` objects whose series mirror the
-lines of the paper's plot. ``benchmarks/run_all.py`` prints them all and
-EXPERIMENTS.md records the measured shapes against the paper's.
+lines of the paper's plot. ``benchmarks/run_all.py`` prints them all;
+README.md's benchmark section lists the recorded ``BENCH_*.json`` files.
 
 Scales default to {1, 2, 4, 8} (the paper sweeps 1..64 on a C++ engine;
 pure Python needs smaller absolute sizes, the *trends* are the point).
@@ -387,7 +387,7 @@ def selective_scan_records(scale: int = 4, chunk_rows: int = 1024,
 
 
 # ---------------------------------------------------------------------------
-# Compressed-domain scans (ours): scan_mode=compressed vs decoded
+# Selective workload (ours): birth bounds that zone maps can prune
 # ---------------------------------------------------------------------------
 
 
@@ -399,8 +399,8 @@ def selective_queries(table: str = TABLE) -> dict[str, str]:
     from most chunk dictionaries), ``country_range`` is a string range
     only persisted zone maps can prune, ``country_in`` mixes two rare
     members, and ``Q2_narrow`` is the paper's birth-time window (pruned
-    by time MIN/MAX in every mode — the baseline case where compressed
-    has no pruning edge; Q4 sits in between).
+    by time MIN/MAX alone — the baseline case where zone maps add no
+    pruning; Q4 sits in between).
     """
     d2 = W.day_offset(_START, 3)
     return {
@@ -425,65 +425,9 @@ def selective_queries(table: str = TABLE) -> dict[str, str]:
     }
 
 
-#: Queries whose birth bounds only the coded-domain metadata can prune —
-#: the subset where compressed mode must beat decoded outright.
+#: Queries whose birth bounds only the coded-domain metadata can prune.
 SELECTIVE_SET = ("rare_country", "rare_city", "country_range",
                  "country_in")
-
-
-def compressed_scan_records(scale: int = 8, chunk_rows: int = 1024,
-                            repeat: int = 5, jobs: int = 1,
-                            executor: str = "vectorized") -> list[dict]:
-    """Measure the selective workload under both scan modes.
-
-    One record per (query, scan_mode) with wall time, the scheduler's
-    pruning counters, and a result digest (identical digests across
-    modes are the parity check recorded in ``BENCH_compressed.json``).
-    """
-    import hashlib
-
-    engine = cohana_engine(scale, chunk_rows)
-    records = []
-    for qname, text in selective_queries().items():
-        for mode in ("decoded", "compressed"):
-            result, stats = engine.query_with_stats(
-                text, executor=executor, jobs=jobs, scan_mode=mode)
-            seconds = time_query(engine, text, repeat=repeat,
-                                 executor=executor, jobs=jobs,
-                                 scan_mode=mode)
-            digest = hashlib.sha256(
-                repr(result.rows).encode()).hexdigest()[:16]
-            records.append({
-                "query": qname,
-                "scan_mode": mode,
-                "selective": qname in SELECTIVE_SET,
-                "seconds": seconds,
-                "chunks_total": stats.chunks_total,
-                "chunks_scanned": stats.chunks_scanned,
-                "chunks_pruned": stats.chunks_pruned,
-                "chunks_pruned_zone": stats.chunks_pruned_zone,
-                "rows_scanned": stats.rows_scanned,
-                "result_rows": len(result.rows),
-                "result_digest": digest,
-            })
-    return records
-
-
-def compressed_scan(scale: int = 8, chunk_rows: int = 1024,
-                    repeat: int = 5) -> Report:
-    """Figure-style report: decoded vs compressed seconds per query."""
-    report = Report(title="Compressed-domain scans with zone-map pruning "
-                          f"(scale={scale}, chunk={chunk_rows})",
-                    x_label="query", y_label="seconds")
-    records = compressed_scan_records(scale=scale, chunk_rows=chunk_rows,
-                                      repeat=repeat)
-    pruned = report.series_named("chunks pruned (compressed)")
-    for record in records:
-        series = report.series_named(f"scan_mode={record['scan_mode']}")
-        series.add(record["query"], round(record["seconds"], 5))
-        if record["scan_mode"] == "compressed":
-            pruned.add(record["query"], record["chunks_pruned"])
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +723,7 @@ def shard_append_records(scale: int = 4, n_batches: int = 4,
             "seconds_single": seconds_single,
         })
     _, prune_stats = sharded_engine.query_with_stats(
-        selective_queries()["rare_country"], scan_mode="compressed")
+        selective_queries()["rare_country"])
     pruning = {
         "query": "rare_country",
         "shards_total": prune_stats.shards_total,
@@ -1147,7 +1091,6 @@ EXPERIMENTS = {
     "fig11": fig11_comparison,
     "ablations": ablations,
     "parallel": parallel_scaling,
-    "compressed": compressed_scan,
     "operators": operator_tree,
     "service": service_cache,
     "serve_http": serve_http,

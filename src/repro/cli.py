@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan backend (default with --jobs > 1: "
                         "processes, which mmaps the .cohana file in "
                         "each worker)")
-    p.add_argument("--scan-mode", default="auto",
-                   choices=("auto", "decoded", "compressed"),
-                   help="predicate evaluation domain: 'compressed' "
-                        "evaluates on the encoded chunks with zone-map "
-                        "pruning, 'decoded' materializes codes first, "
-                        "'auto' picks per chunk (default)")
     p.add_argument("--age-unit", default="day")
     p.add_argument("--origin", default=None,
                    help="time-bin origin date for COHORT BY time")
@@ -177,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "deduplicated (default 4)")
     p.add_argument("--executor", default="vectorized",
                    choices=("vectorized", "iterator"))
-    p.add_argument("--scan-mode", default="auto",
-                   choices=("auto", "decoded", "compressed"))
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=True, help="serve repeated queries from the "
                                       "result cache (default on)")
@@ -338,13 +330,11 @@ def _dispatch(args) -> int:
         query = engine.parse(args.text, age_unit=args.age_unit,
                              time_bin_origin=origin)
         if args.explain:
-            print(service.explain(query, scan_mode=args.scan_mode,
-                                  jobs=args.jobs, backend=args.backend,
-                                  analyze=True))
+            print(service.explain(query, jobs=args.jobs,
+                                  backend=args.backend, analyze=True))
             return 0
         result = service.query(query, jobs=args.jobs,
-                               backend=args.backend,
-                               scan_mode=args.scan_mode)
+                               backend=args.backend)
         print(result.to_text())
         if args.pivot:
             print()
@@ -407,8 +397,7 @@ def _serve(args) -> int:
             service.clear()
             print("cache cleared")
         elif cmd == ".explain" and rest:
-            print(service.explain(bind(rest),
-                                  scan_mode=args.scan_mode))
+            print(service.explain(bind(rest)))
         elif cmd == ".views":
             ensure_loaded()
             names = engine.views()
@@ -449,8 +438,7 @@ def _serve(args) -> int:
             run_ddl(text, parsed)
             return
         start = time.perf_counter()
-        result, stats = service.query_with_stats(
-            bind(text), scan_mode=args.scan_mode)
+        result, stats = service.query_with_stats(bind(text))
         elapsed = time.perf_counter() - start
         print(result.to_text())
         if args.stats:
@@ -528,8 +516,7 @@ def _serve(args) -> int:
             try:
                 pairs = service.query_batch([q for _, q in batch],
                                             concurrency=args.jobs,
-                                            with_stats=True,
-                                            scan_mode=args.scan_mode)
+                                            with_stats=True)
             except ReproError as exc:
                 # One failed execution drops its batch, not the
                 # session — the same per-item policy as parse and meta
@@ -645,8 +632,7 @@ def _serve_http(args) -> int:
         bind_table=bind_table,
         ingest_dir=directory if sharded else None,
         csv_schema=game_schema() if sharded else None,
-        parse_kw=parse_kw,
-        scan_mode=args.scan_mode)
+        parse_kw=parse_kw)
     server.run()
     return 0
 

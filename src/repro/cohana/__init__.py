@@ -22,7 +22,6 @@ from repro.cohana.pipeline import (
 )
 from repro.cohana.render import render_condition, render_query
 from repro.cohana.planner import (
-    SCAN_MODES,
     CohortPlan,
     ColumnBound,
     LogicalOp,
@@ -50,7 +49,6 @@ __all__ = [
     "LogicalOp",
     "ParsedCohortQuery",
     "PhysicalPlan",
-    "SCAN_MODES",
     "SessionizeOp",
     "TableScanOp",
     "bind_cohort_query",

@@ -1,9 +1,10 @@
 """Compressed-domain predicate evaluation for the vectorized kernel.
 
-The decoded scan path materializes every referenced column to a per-row
-code array and evaluates conditions with :func:`~repro.cohana.compile
-.compile_mask`. This module evaluates the same conditions *against the
-compressed structures* instead, tuple semantics unchanged:
+:func:`~repro.cohana.compile.compile_mask` evaluates conditions over
+per-row code arrays decoded from every referenced column. This module
+evaluates the same conditions *against the compressed structures*
+instead, tuple semantics unchanged; it is the vectorized kernel's only
+way of evaluating birth and age conditions:
 
 * **dictionary columns** — a leaf predicate over one dictionary-encoded
   column and literals is evaluated once per *distinct* chunk value (the
@@ -18,7 +19,7 @@ compressed structures* instead, tuple semantics unchanged:
 * **everything else** — ``Birth()`` references, ``AGE``, cross-column
   comparisons and disjunction arms that mix columns fall back to the
   decoded evaluator leaf by leaf, so any query shape still runs and the
-  two scan modes produce identical masks bit for bit.
+  mask equals the decoded one bit for bit.
 
 The boolean connectives (AND/OR/NOT) recurse here so that *each leaf*
 independently picks the cheapest domain it can be evaluated in.

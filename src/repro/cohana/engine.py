@@ -22,23 +22,18 @@ be given explicitly, or via the loose ``jobs`` / ``backend`` options::
 
     result = engine.query(text, jobs=4)              # auto backend
     result = engine.query(text, jobs=4, backend="processes")
-    result = engine.query(text, scan_mode="compressed")
     result, stats = engine.query_with_stats(
         text, config=ExecutionConfig(backend="threads", jobs=2))
 
-``ExecutionConfig(backend, jobs, collect_stats, scan_mode)`` selects the
-scan backend (``'serial'``, ``'threads'`` or ``'processes'`` — with
+``ExecutionConfig(backend, jobs, collect_stats)`` selects the scan
+backend (``'serial'``, ``'threads'`` or ``'processes'`` — with
 ``jobs > 1`` and no explicit backend, tables loaded from a ``.cohana``
 file get ``processes``, whose workers reopen the file by path and scan
 chunks on real cores; in-memory tables get ``threads``), the worker
-count, whether
-per-row/user counters are accumulated into ``ExecStats``, and how
-predicates are evaluated: ``scan_mode='decoded'`` materializes codes
-first (the legacy path), ``'compressed'`` evaluates in the compressed
-domain with zone-map pruning, and ``'auto'`` (default) picks compressed
-wherever chunks carry persisted zone maps. Results are identical across
-modes. Chunk independence (no user spans two chunks) makes the parallel
-merge exact.
+count, and whether per-row/user counters are accumulated into
+``ExecStats``. Predicates are always evaluated in the compressed domain,
+with zone-map pruning wherever chunks carry persisted zone maps. Chunk
+independence (no user spans two chunks) makes the parallel merge exact.
 """
 
 from __future__ import annotations
@@ -350,28 +345,25 @@ class CohanaEngine:
     # -- query executor --------------------------------------------------------
 
     def plan(self, query: CohortQuery | str, pushdown: bool = True,
-             prune: bool = True, scan_mode: str = "auto",
-             **parse_kw) -> CohortPlan:
+             prune: bool = True, **parse_kw) -> CohortPlan:
         """Build the physical plan (push-down + pruning decisions)."""
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
         return plan_query(query, self.table(query.table),
-                          pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
+                          pushdown=pushdown, prune=prune)
 
     def query_with_stats(self, query: CohortQuery | str,
                          executor: str = "vectorized",
                          pushdown: bool = True, prune: bool = True,
                          jobs: int = 1, backend: str | None = None,
                          collect_stats: bool = True,
-                         scan_mode: str = "auto",
                          config: ExecutionConfig | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
         """Execute and also return execution statistics.
 
         ``executor`` picks the per-chunk kernel family; ``jobs`` /
-        ``backend`` / ``scan_mode`` (or a full ``config``) pick how the
-        scheduler runs the chunk scans.
+        ``backend`` (or a full ``config``) pick how the scheduler runs
+        the chunk scans.
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
@@ -380,13 +372,11 @@ class CohanaEngine:
         if config is None:
             config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                              collect_stats=collect_stats,
-                                             scan_mode=scan_mode,
                                              table=table)
-        elif (jobs != 1 or backend is not None or not collect_stats
-                or scan_mode != "auto"):
+        elif jobs != 1 or backend is not None or not collect_stats:
             raise ExecutionError(
                 "pass either config= or the loose jobs=/backend=/"
-                "collect_stats=/scan_mode= options, not both")
+                "collect_stats= options, not both")
         plan = plan_query(query, table, pushdown=pushdown, prune=prune)
         return ChunkScheduler(table, plan, kernel, config).run()
 
@@ -397,7 +387,7 @@ class CohanaEngine:
         return result
 
     def explain(self, query: CohortQuery | str, pushdown: bool = True,
-                prune: bool = True, scan_mode: str = "auto",
+                prune: bool = True,
                 jobs: int = 1, backend: str | None = None,
                 config: ExecutionConfig | None = None,
                 executor: str = "vectorized", analyze: bool = False,
@@ -405,8 +395,8 @@ class CohanaEngine:
         """The physical operator tree, one line per operator (EXPLAIN).
 
         Includes the resolved :class:`ExecutionConfig` line, so the
-        ``jobs`` / ``backend`` / ``scan_mode`` a query would run with
-        are visible without executing it. With ``analyze=True`` the
+        ``jobs`` / ``backend`` a query would run with are visible
+        without executing it. With ``analyze=True`` the
         query is actually executed and each operator line carries its
         rows-in/rows-out and prune counters.
         """
@@ -414,14 +404,12 @@ class CohanaEngine:
             query = self.parse(query, **parse_kw)
         if config is None:
             config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, scan_mode=scan_mode,
-                table=self.table(query.table))
-        elif jobs != 1 or backend is not None or scan_mode != "auto":
+                jobs=jobs, backend=backend, table=self.table(query.table))
+        elif jobs != 1 or backend is not None:
             raise ExecutionError(
-                "pass either config= or the loose jobs=/backend=/"
-                "scan_mode= options, not both")
-        plan = self.plan(query, pushdown=pushdown, prune=prune,
-                         scan_mode=config.scan_mode)
+                "pass either config= or the loose jobs=/backend= "
+                "options, not both")
+        plan = self.plan(query, pushdown=pushdown, prune=prune)
         physical = lower_plan(plan, get_kernel(executor))
         if analyze:
             result, stats = self.query_with_stats(

@@ -7,15 +7,14 @@ mutable per-chunk :class:`ChunkContext`:
 
 * :class:`TableScanOp` — the leaf; the context already carries the
   (table, chunk) pair the scheduler selected, so the leaf just anchors
-  the tree (and owns the pruning/scan-mode annotations in EXPLAIN);
+  the tree (and owns the pruning annotations in EXPLAIN);
 * :class:`SessionizeOp` — derives the gap-based session-ordinal column
   and swaps transparent table/chunk *views* into the context, so every
   kernel downstream sees the derived column as if it were stored;
 * :class:`KernelOp` — the fused implementation of ``BirthSelect →
   AgeSelect → CohortProject → CohortAggregate``: it wraps one
   registered :class:`~repro.cohana.pipeline.ChunkKernel` (vectorized or
-  iterator, each honouring the plan's decoded/compressed scan mode) and
-  returns the chunk's partial aggregates.
+  iterator) and returns the chunk's partial aggregates.
 
 Lowering (:func:`lower_plan`) is cheap, pure object construction — the
 ``processes`` backend re-lowers in each worker from the picklable plan,
@@ -68,7 +67,7 @@ class DerivedSegment:
     .tablescan.LazyRow`. It is deliberately *not* a
     Dict/Delta/Raw-encoded column, so the compressed evaluator's
     ``_leaf_mask`` falls through to the decoded path for predicates
-    over it — bit-identical masks in every scan mode.
+    over it — bit-identical masks either way.
     """
 
     def __init__(self, values: np.ndarray):
@@ -212,9 +211,8 @@ class KernelOp(PhysicalOp):
 
     The registered chunk kernels *are* the physical implementations of
     this fused pipeline — ``vectorized`` (array-at-a-time, id-space
-    labels) and ``iterator`` (tuple-at-a-time, value-space labels) —
-    each internally honouring the plan's scan mode (decoded /
-    compressed). EXPLAIN expands this node back into its four logical
+    labels) and ``iterator`` (tuple-at-a-time, value-space labels).
+    EXPLAIN expands this node back into its four logical
     stage lines, tagged with the kernel that fuses them.
     """
 

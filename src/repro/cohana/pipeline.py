@@ -15,8 +15,7 @@ instead of each executor hand-rolling its own chunk loop:
   ``iterator`` executors register themselves here and contain *only*
   per-chunk logic;
 * :class:`ExecutionConfig` selects the backend (``serial``, ``threads``
-  or ``processes`` via :mod:`concurrent.futures`), the worker count, and
-  the ``scan_mode`` (``decoded`` | ``compressed`` | ``auto``).
+  or ``processes`` via :mod:`concurrent.futures`) and the worker count.
 
 The ``processes`` backend sidesteps the GIL entirely: the parent never
 ships chunk data to workers — each task is just ``(path, kernel name,
@@ -55,12 +54,12 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import CatalogError, ExecutionError
 from repro.cohana.operators import lower_plan
-from repro.cohana.planner import SCAN_MODES, CohortPlan, plan_query
+from repro.cohana.planner import CohortPlan, plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.schema import ColumnRole, LogicalType, format_timestamp
@@ -142,18 +141,11 @@ class ExecutionConfig:
         jobs: worker count for parallel backends (ignored by ``serial``).
         collect_stats: accumulate the per-chunk row/user counters into
             :class:`ExecStats`; chunk-level counters are always kept.
-        scan_mode: ``'decoded'`` (legacy path: materialize codes, then
-            filter; pruning limited to the action dictionary and birth
-            time range), ``'compressed'`` (coded-domain predicate
-            evaluation plus zone-map/metadata pruning), or ``'auto'``
-            (compressed wherever chunks carry zone maps). Results are
-            identical across modes; only the work done differs.
     """
 
     backend: str = "serial"
     jobs: int = 1
     collect_stats: bool = True
-    scan_mode: str = "auto"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -161,14 +153,10 @@ class ExecutionConfig:
                 f"unknown backend {self.backend!r}; have {BACKENDS}")
         if self.jobs < 1:
             raise ExecutionError(f"jobs must be >= 1, got {self.jobs}")
-        if self.scan_mode not in SCAN_MODES:
-            raise ExecutionError(
-                f"unknown scan_mode {self.scan_mode!r}; have {SCAN_MODES}")
 
     @classmethod
     def resolve(cls, jobs: int = 1, backend: str | None = None,
                 collect_stats: bool = True,
-                scan_mode: str = "auto",
                 table: "CompressedActivityTable | None" = None,
                 ) -> "ExecutionConfig":
         """Build a config from loose options.
@@ -185,13 +173,11 @@ class ExecutionConfig:
                 backend = "processes" if on_disk else "threads"
             else:
                 backend = "serial"
-        return cls(backend=backend, jobs=jobs, collect_stats=collect_stats,
-                   scan_mode=scan_mode)
+        return cls(backend=backend, jobs=jobs, collect_stats=collect_stats)
 
     def describe(self) -> str:
         """Compact one-line rendering for EXPLAIN output."""
-        return (f"Execution(backend={self.backend}, jobs={self.jobs}, "
-                f"scan_mode={self.scan_mode})")
+        return f"Execution(backend={self.backend}, jobs={self.jobs})"
 
 
 @dataclass
@@ -301,8 +287,8 @@ def chunk_prunable(table: CompressedActivityTable, chunk: Chunk,
     Every check is exact, proven from storage metadata alone (no segment
     is decoded): a pruned chunk cannot host a qualifying birth tuple,
     and since a user's tuples never span chunks, it cannot contribute
-    anything to the result. See :func:`prune_reason` for which evidence
-    applies in which ``scan_mode``.
+    anything to the result. See :func:`prune_reason` for the evidence
+    used.
     """
     return prune_reason(table, chunk, plan) is not None
 
@@ -312,15 +298,14 @@ def prune_reason(table: CompressedActivityTable, chunk: Chunk,
     """Why ``chunk`` is prunable — or None when it must be scanned.
 
     * ``'action'`` — the birth action's global id is absent from the
-      chunk's action dictionary (Section 4.1; all modes);
+      chunk's action dictionary (Section 4.1);
     * ``'time'`` — the birth condition's time bounds miss the chunk's
-      time MIN/MAX (Section 4.1; all modes);
+      time MIN/MAX (Section 4.1);
     * ``'zonemap'`` — a coded-domain birth bound is disjoint from the
       chunk's persisted zone map, an equality/IN constraint has no
       member in the chunk dictionary, or the birth condition is
-      unsatisfiable table-wide. Only applied when
-      ``plan.scan_mode != 'decoded'`` (``decoded`` is the legacy
-      baseline the benchmarks compare against).
+      unsatisfiable table-wide. A chunk without persisted zone maps
+      (a version-1 file) skips only the zone-map comparison.
     """
     if not table.chunk_may_contain_action(chunk, plan.birth_action_gid):
         return "action"
@@ -329,29 +314,18 @@ def prune_reason(table: CompressedActivityTable, chunk: Chunk,
         if not table.chunk_overlaps_range(chunk, time_name, plan.time_low,
                                           plan.time_high):
             return "time"
-    if plan.scan_mode != "decoded":
-        if not plan.birth_satisfiable:
+    if not plan.birth_satisfiable:
+        return "zonemap"
+    for bound in plan.birth_bounds:
+        col = chunk.columns.get(bound.column)
+        if (bound.gids is not None
+                and isinstance(col, DictEncodedColumn)
+                and not col.contains_any_global_id(bound.gids)):
             return "zonemap"
-        for bound in plan.birth_bounds:
-            col = chunk.columns.get(bound.column)
-            if (bound.gids is not None
-                    and isinstance(col, DictEncodedColumn)
-                    and not col.contains_any_global_id(bound.gids)):
-                return "zonemap"
-            zone = chunk.zone_map(bound.column)
-            if zone is not None and not zone.overlaps(bound.low,
-                                                      bound.high):
-                return "zonemap"
+        zone = chunk.zone_map(bound.column)
+        if zone is not None and not zone.overlaps(bound.low, bound.high):
+            return "zonemap"
     return None
-
-
-def resolve_scan_mode(plan_mode: str, chunk: Chunk) -> str:
-    """The effective scan mode for one chunk: ``auto`` picks
-    ``compressed`` when the chunk carries persisted zone maps and
-    ``decoded`` otherwise (version-1 files)."""
-    if plan_mode == "auto":
-        return "compressed" if chunk.has_zone_maps else "decoded"
-    return plan_mode
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +396,12 @@ def clear_shard_plan_cache() -> None:
 
 
 def shard_plan(shard: CompressedActivityTable, query: CohortQuery,
-               pushdown: bool, prune: bool, scan_mode: str) -> CohortPlan:
+               pushdown: bool, prune: bool) -> CohortPlan:
     """Plan ``query`` against one shard, through the per-shard cache."""
     digest = getattr(shard, "content_digest", None)
     key = None
     if digest:
-        key = (digest, repr(query), pushdown, prune, scan_mode)
+        key = (digest, repr(query), pushdown, prune)
         with _SHARD_PLAN_LOCK:
             plan = _SHARD_PLAN_CACHE.get(key)
             if plan is not None:
@@ -435,8 +409,7 @@ def shard_plan(shard: CompressedActivityTable, query: CohortQuery,
                 _SHARD_PLAN_CACHE.move_to_end(key)
                 return plan
             SHARD_PLAN_CACHE_STATS["misses"] += 1
-    plan = plan_query(query, shard, pushdown=pushdown, prune=prune,
-                      scan_mode=scan_mode)
+    plan = plan_query(query, shard, pushdown=pushdown, prune=prune)
     if key is not None:
         with _SHARD_PLAN_LOCK:
             _SHARD_PLAN_CACHE[key] = plan
@@ -532,7 +505,7 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     stats = stats if stats is not None else ExecStats()
     merged = ChunkPartial(n_aggregates=len(query.aggregates))
     stats.chunks_total += shard.n_chunks
-    plan = shard_plan(shard, query, pushdown, prune, config.scan_mode)
+    plan = shard_plan(shard, query, pushdown, prune)
     if plan.birth_action_gid is None and prune:
         # Shard-level action miss: nothing to scan (see _run_sharded).
         stats.chunks_pruned += shard.n_chunks
@@ -589,10 +562,6 @@ class ChunkScheduler:
     ``physical.execute_chunk`` as the per-chunk unit of work on every
     backend; the ``processes`` backend ships only the picklable plan and
     re-lowers inside each worker.
-
-    A non-``auto`` ``config.scan_mode`` overrides the plan's, so the
-    same :class:`~repro.cohana.planner.CohortPlan` can be executed in
-    either mode without replanning.
     """
 
     def __init__(self, table: CompressedActivityTable, plan: CohortPlan,
@@ -600,9 +569,6 @@ class ChunkScheduler:
                  config: ExecutionConfig | None = None):
         self.table = table
         self.config = config or ExecutionConfig()
-        if (self.config.scan_mode != "auto"
-                and plan.scan_mode != self.config.scan_mode):
-            plan = replace(plan, scan_mode=self.config.scan_mode)
         self.plan = plan
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)
@@ -663,7 +629,7 @@ class ChunkScheduler:
         work: list[tuple] = []  # (shard, shard plan, surviving tasks)
         for shard in self.table.shards:
             plan = shard_plan(shard, query, self.plan.pushdown,
-                              self.plan.prune, self.plan.scan_mode)
+                              self.plan.prune)
             if plan.birth_action_gid is None and self.plan.prune:
                 # The birth action is absent from this shard's global
                 # dictionary — the shard-level form of the action

@@ -17,7 +17,7 @@ The logical plan of a cohort query is the fixed operator chain
   (sorted dictionaries make id order lexicographic order), and integer
   ranges stay as-is. The resulting :class:`ColumnBound` list drives
   zone-map pruning in the scheduler and predicate short-circuits in the
-  compressed scan path, with no per-chunk dictionary lookups;
+  compressed-domain scan, with no per-chunk dictionary lookups;
 * **column pruning** — only columns referenced by the query are decoded.
 
 One deliberate deviation from Section 4.1's prose: the paper also prunes
@@ -48,10 +48,6 @@ from repro.cohort.query import CohortQuery
 from repro.schema import ActivitySchema, ColumnRole
 from repro.storage.chunk import encoded_column_kind
 from repro.storage.reader import CompressedActivityTable
-
-
-#: Valid values of the ``scan_mode`` knob (plan- and config-level).
-SCAN_MODES = ("auto", "decoded", "compressed")
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,6 @@ class CohortPlan:
             value anywhere in the table (e.g. equality with a string
             absent from the global dictionary) — the result is provably
             empty and every chunk is prunable.
-        scan_mode: ``'decoded'`` (materialize codes, then filter),
-            ``'compressed'`` (evaluate predicates in the compressed
-            domain and use zone-map/metadata pruning), or ``'auto'``
-            (compressed wherever the chunk carries zone maps).
     """
 
     query: CohortQuery
@@ -154,7 +146,6 @@ class CohortPlan:
     prune: bool = True
     birth_bounds: tuple[ColumnBound, ...] = ()
     birth_satisfiable: bool = True
-    scan_mode: str = "auto"
 
     def logical(self) -> LogicalOp:
         """The logical operator tree for this plan, root first.
@@ -172,7 +163,6 @@ class CohortPlan:
             "TableScan",
             f"columns={list(self.columns)}, "
             f"prune={'on' if self.prune else 'off'}, "
-            f"scan_mode={self.scan_mode}, "
             f"birth_gid={self.birth_action_gid}, "
             f"time_range=[{self.time_low}, {self.time_high}], "
             f"bounds=[{bounds}]")
@@ -207,8 +197,7 @@ class CohortPlan:
 
 
 def plan_query(query: CohortQuery, table: CompressedActivityTable,
-               pushdown: bool = True, prune: bool = True,
-               scan_mode: str = "auto") -> CohortPlan:
+               pushdown: bool = True, prune: bool = True) -> CohortPlan:
     """Build the physical plan for ``query`` over ``table``."""
     schema = table.schema
     query.validate(schema)
@@ -231,7 +220,6 @@ def plan_query(query: CohortQuery, table: CompressedActivityTable,
         prune=prune,
         birth_bounds=bounds,
         birth_satisfiable=satisfiable,
-        scan_mode=scan_mode,
     )
 
 

@@ -12,14 +12,13 @@ vectorization). The per-chunk algorithm mirrors Algorithms 1-2:
 3. evaluate the age condition on the surviving rows, compute normalized
    ages, and aggregate into (cohort, age) buckets.
 
-The kernel honours the plan's ``scan_mode``: under ``compressed`` (and
-``auto`` over zone-mapped chunks) the birth-action search compares
+The scan runs in the compressed domain: the birth-action search compares
 bit-packed *chunk-local* codes instead of gathered global ids, and the
 birth/age conditions go through
 :func:`~repro.cohana.compressed.compressed_mask`, which evaluates
-dictionary-column leaves once per distinct chunk value and short-circuits
-range leaves against segment MIN/MAX. ``decoded`` keeps the fully
-materialized path; both modes produce identical partials.
+dictionary-column leaves once per distinct chunk value, short-circuits
+range leaves against segment MIN/MAX, and hands every other leaf to the
+decoded evaluator.
 
 Chunk iteration, pruning, parallel dispatch and the cross-chunk merge all
 live in :mod:`repro.cohana.pipeline`; this module only turns one
@@ -34,28 +33,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.cohana.compile import EvalContext, compile_mask
+from repro.cohana.compile import EvalContext
 from repro.cohana.compressed import compressed_mask
-from repro.cohana.pipeline import (
-    ChunkKernel,
-    ChunkPartial,
-    ExecStats,
-    ExecutionConfig,
-    chunk_prunable,
-    execute,
-    register_kernel,
-    resolve_scan_mode,
-)
+from repro.cohana.pipeline import ChunkKernel, ChunkPartial, register_kernel
 from repro.cohana.planner import CohortPlan
-from repro.cohort.result import CohortResult
 from repro.schema import TIME_UNIT_SECONDS, ColumnRole, LogicalType
 from repro.storage.chunk import Chunk
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.reader import CompressedActivityTable
-
-#: Backwards-compatible alias — pruning now lives in the pipeline layer.
-_prunable = chunk_prunable
-
 
 class _RunContext(EvalContext):
     """Evaluation context over user runs (one 'row' per user)."""
@@ -129,7 +114,6 @@ class _ChunkExecutor:
         self._cache: dict[str, np.ndarray] = {}
         self._local_ids: dict[str, np.ndarray] = {}
         self.schema = table.schema
-        self.scan_mode = resolve_scan_mode(plan.scan_mode, chunk)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._cache:
@@ -166,24 +150,16 @@ class _ChunkExecutor:
             return self._table.dictionary(name)
         return None
 
-    def _mask(self, condition, ctx, positions: np.ndarray) -> np.ndarray:
-        """Condition mask over ``positions``, in the mode's domain."""
-        if self.scan_mode == "compressed":
-            return compressed_mask(condition, ctx, self, positions)
-        return compile_mask(condition, ctx)
-
     def _action_positions(self, gid: int) -> np.ndarray:
         """Row positions holding the birth action.
 
-        Compressed mode binary-searches the chunk dictionary for the
-        action's *local* code and compares the bit-packed chunk ids
-        directly — no global-id gather. Decoded mode compares the
-        materialized global-id array (and reuses it if the action
-        column is needed again later).
+        Binary-searches the chunk dictionary for the action's *local*
+        code and compares the bit-packed chunk ids directly — no
+        global-id gather. An action column that is not dictionary
+        encoded falls back to comparing its decoded values.
         """
         col = self._chunk.columns.get(self.schema.action.name)
-        if self.scan_mode == "compressed" and isinstance(
-                col, DictEncodedColumn):
+        if isinstance(col, DictEncodedColumn):
             name = self.schema.action.name
             gids = self.chunk_gids(name)
             pos = int(np.searchsorted(gids, gid))
@@ -223,7 +199,8 @@ class _ChunkExecutor:
 
         # 2. birth selection, once per user.
         run_ctx = _RunContext(self, birth_pos)
-        birth_mask = self._mask(query.birth_condition, run_ctx, birth_pos)
+        birth_mask = compressed_mask(query.birth_condition, run_ctx, self,
+                                     birth_pos)
         qualified = has_birth & birth_mask
         n_qualified = int(qualified.sum())
         partial.users_qualified += n_qualified
@@ -255,7 +232,7 @@ class _ChunkExecutor:
         ages = _normalize_ages(raw_age, query.age_unit)
 
         row_ctx = _RowContext(self, sel, birth_pos[row_run_sel], ages)
-        age_mask = self._mask(query.age_condition, row_ctx, sel)
+        age_mask = compressed_mask(query.age_condition, row_ctx, self, sel)
         agg_mask = (raw_age > 0) & age_mask
         if not plan.pushdown:
             agg_mask &= qualified_rows[sel]
@@ -355,9 +332,3 @@ def scan_chunk(table: CompressedActivityTable, chunk: Chunk,
 KERNEL = register_kernel(ChunkKernel(name="vectorized", scan=scan_chunk,
                                      decoded_labels=False))
 
-
-def execute_plan(table: CompressedActivityTable,
-                 plan: CohortPlan) -> tuple[CohortResult, ExecStats]:
-    """Serial execution of ``plan`` (compatibility entry point; the
-    pipeline's :func:`~repro.cohana.pipeline.execute` is the real API)."""
-    return execute(table, plan, kernel=KERNEL, config=ExecutionConfig())

@@ -12,8 +12,8 @@ relation. Three design decisions follow:
   changes whenever the table registration changes (``replace=True``,
   or a reloaded file whose content digest differs), so a stale result
   can never be served: its fingerprint simply no longer comes up;
-* execution knobs (executor kernel, backend, jobs, scan mode,
-  push-down, pruning) are **excluded** — the pipeline guarantees
+* execution knobs (executor kernel, backend, jobs, push-down,
+  pruning) are **excluded** — the pipeline guarantees
   result parity across all of them (a property the test suite checks
   independently), so results cached under one configuration are valid
   answers for every other. Plans, whose shape *does* depend on those
@@ -71,11 +71,10 @@ def view_fingerprint(query: CohortQuery) -> str:
 
 
 def plan_fingerprint(query: CohortQuery, version_token: str,
-                     pushdown: bool = True, prune: bool = True,
-                     scan_mode: str = "auto") -> str:
+                     pushdown: bool = True, prune: bool = True) -> str:
     """Plan-cache key: the result fingerprint's inputs plus the
-    planning knobs that shape the physical plan (push-down, pruning,
-    scan mode) — unlike results, plans differ across these."""
+    planning knobs that shape the physical plan (push-down, pruning)
+    — unlike results, plans differ across these."""
     payload = (f"{version_token}|pushdown={pushdown}|prune={prune}|"
-               f"scan_mode={scan_mode}|{query_key(query)}")
+               f"{query_key(query)}")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -325,8 +325,7 @@ class HttpCohortServer:
             game schema).
         parse_kw: forwarded to every parse (``age_unit``,
             ``time_bin_origin``).
-        scan_mode / executor: execution defaults, overridable per
-            request.
+        executor: execution default, overridable per request.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1",
@@ -334,7 +333,6 @@ class HttpCohortServer:
                  admission: AdmissionConfig | None = None,
                  bind_table=None, ingest_dir=None, csv_schema=None,
                  parse_kw: dict | None = None,
-                 scan_mode: str = "auto",
                  executor: str | None = None, clock=time.monotonic):
         self.service = service
         self.engine = service.engine
@@ -347,7 +345,6 @@ class HttpCohortServer:
         self._ingest_dir = ingest_dir
         self._csv_schema = csv_schema
         self._parse_kw = dict(parse_kw or {})
-        self._scan_mode = scan_mode
         self._executor = executor
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.Server | None = None
@@ -609,7 +606,7 @@ class HttpCohortServer:
             self._bind_table(parse_cohort_query(text).table)
 
     def _exec_kw(self, body: dict) -> dict:
-        kw = {"scan_mode": body.get("scan_mode", self._scan_mode)}
+        kw: dict = {}
         if self._executor is not None:
             kw["executor"] = self._executor
         for key in ("executor", "jobs", "backend"):

@@ -40,7 +40,7 @@ the view's last refresh cost a scan.
 
 Correctness leans on two invariants established elsewhere and tested
 independently: result parity across execution knobs (kernel, backend,
-jobs, scan mode — so one cached result answers every configuration),
+jobs — so one cached result answers every configuration),
 and version tokens that change whenever a table registration changes
 (so a stale fingerprint can never be looked up again).
 """
@@ -164,7 +164,6 @@ class QueryService:
     def query_with_stats(self, query: CohortQuery | str,
                          executor: str | None = None,
                          jobs: int = 1, backend: str | None = None,
-                         scan_mode: str = "auto",
                          pushdown: bool = True, prune: bool = True,
                          use_cache: bool | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
@@ -175,7 +174,7 @@ class QueryService:
         bound = self._bind(query, parse_kw)
         table, token = self._snapshot(bound.table)
         return self._admit(bound, table, token, executor, jobs, backend,
-                           scan_mode, pushdown, prune, use_cache)
+                           pushdown, prune, use_cache)
 
     def query_batch(self, queries, concurrency: int | None = None,
                     with_stats: bool = False, **kw) -> list:
@@ -279,7 +278,7 @@ class QueryService:
         return "miss"
 
     def explain(self, query: CohortQuery | str, jobs: int = 1,
-                backend: str | None = None, scan_mode: str = "auto",
+                backend: str | None = None,
                 pushdown: bool = True, prune: bool = True,
                 use_cache: bool | None = None,
                 executor: str | None = None, analyze: bool = False,
@@ -307,17 +306,15 @@ class QueryService:
         if backend is None and entry is not None:
             config = entry.config
         else:
-            config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, scan_mode=scan_mode,
-                table=table)
+            config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
+                                             table=table)
         # EXPLAIN must not distort cache state: peek only, and plan
         # outside the cache when there is no entry to reuse.
         plan = self.plans.peek(plan_fingerprint(
-            bound, token, pushdown=pushdown, prune=prune,
-            scan_mode=config.scan_mode))
+            bound, token, pushdown=pushdown, prune=prune))
         if plan is None:
             plan = plan_query(bound, table, pushdown=pushdown,
-                              prune=prune, scan_mode=config.scan_mode)
+                              prune=prune)
         executor = executor or self.default_executor
         physical = lower_plan(plan, get_kernel(executor))
         if analyze:
@@ -406,12 +403,11 @@ class QueryService:
 
     def _admit(self, bound: CohortQuery, table, token: str,
                executor: str, jobs: int, backend: str | None,
-               scan_mode: str, pushdown: bool, prune: bool,
-               use_cache: bool | None,
+               pushdown: bool, prune: bool, use_cache: bool | None,
                ) -> tuple[CohortResult, ExecStats]:
         if not self._use_cache(use_cache):
             entry = self._execute(bound, table, token, executor, jobs,
-                                  backend, scan_mode, pushdown, prune)
+                                  backend, pushdown, prune)
             with self._lock:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
@@ -449,7 +445,7 @@ class QueryService:
             return self._serve_hit(entry)
         try:
             entry = self._execute(bound, table, token, executor, jobs,
-                                  backend, scan_mode, pushdown, prune)
+                                  backend, pushdown, prune)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(fingerprint, None)
@@ -489,20 +485,19 @@ class QueryService:
     # -- execution ------------------------------------------------------------
 
     def _plan(self, bound: CohortQuery, table, token: str,
-              scan_mode: str, pushdown: bool, prune: bool):
+              pushdown: bool, prune: bool):
         key = plan_fingerprint(bound, token, pushdown=pushdown,
-                               prune=prune, scan_mode=scan_mode)
+                               prune=prune)
         plan = self.plans.get(key)
         if plan is None:
             plan = plan_query(bound, table, pushdown=pushdown,
-                              prune=prune, scan_mode=scan_mode)
+                              prune=prune)
             self.plans.put(key, plan)
         return plan
 
     def _execute(self, bound: CohortQuery, table, token: str,
                  executor: str, jobs: int, backend: str | None,
-                 scan_mode: str, pushdown: bool,
-                 prune: bool) -> CachedEntry:
+                 pushdown: bool, prune: bool) -> CachedEntry:
         """One cold run: resolve config once, plan via the plan cache,
         run the chunk pipeline, wrap everything into a cache entry.
 
@@ -511,10 +506,8 @@ class QueryService:
         fingerprint names even if the catalog changes mid-call.
         """
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
-                                         scan_mode=scan_mode,
                                          table=table)
-        plan = self._plan(bound, table, token, config.scan_mode,
-                          pushdown, prune)
+        plan = self._plan(bound, table, token, pushdown, prune)
         result, stats = execute(table, plan, get_kernel(executor),
                                 config)
         return CachedEntry(

@@ -73,7 +73,7 @@ class TestQuery:
         assert main(["query", str(demo_cohana), QUERY, "--explain"]) == 0
         out = capsys.readouterr().out
         assert "TableScan" in out
-        assert "Execution(backend=serial, jobs=1, scan_mode=auto)" in out
+        assert "Execution(backend=serial, jobs=1)" in out
 
     def test_query_explain_shows_jobs_and_backend(self, demo_cohana,
                                                   capsys):
@@ -84,11 +84,9 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "Execution(backend=processes, jobs=4" in out
         assert main(["query", str(demo_cohana), QUERY, "--explain",
-                     "--jobs", "2", "--backend", "threads",
-                     "--scan-mode", "compressed"]) == 0
+                     "--jobs", "2", "--backend", "threads"]) == 0
         out = capsys.readouterr().out
-        assert "Execution(backend=threads, jobs=2, " \
-               "scan_mode=compressed)" in out
+        assert "Execution(backend=threads, jobs=2)" in out
 
     def test_query_explain_operator_tree_counters(self, demo_cohana,
                                                   capsys):

@@ -158,24 +158,24 @@ class TestStatsAndPruning:
         assert stats.chunks_pruned >= 1
 
     def test_skipping_unqualified_users(self, engine):
-        # scan_mode="decoded" disables the coded-domain chunk pruning so
-        # every user is actually visited (and then skipped per user);
-        # see test_zone_pruning_hides_unqualified_users for the default.
-        _, stats = engine.query_with_stats(Q1_TEXT, scan_mode="decoded")
+        # prune=False disables chunk pruning so every user is actually
+        # visited (and then skipped per user); see
+        # test_zone_pruning_hides_unqualified_users for the default.
+        _, stats = engine.query_with_stats(Q1_TEXT, prune=False)
         assert stats.users_seen == 3
         assert stats.users_qualified == 1
 
     def test_zone_pruning_hides_unqualified_users(self, engine):
-        # Default (auto) mode: role = "dwarf" prunes the chunk whose
-        # role dictionary lacks "dwarf", so its users are never seen —
-        # with identical results.
-        decoded, dstats = engine.query_with_stats(Q1_TEXT,
-                                                  scan_mode="decoded")
-        auto, stats = engine.query_with_stats(Q1_TEXT)
-        assert auto.rows == decoded.rows
+        # role = "dwarf" prunes the chunk whose role dictionary lacks
+        # "dwarf", so its users are never seen — with the same rows as
+        # the unpruned row-at-a-time reference.
+        ref, ref_stats = engine.query_with_stats(
+            Q1_TEXT, executor="iterator", prune=False)
+        got, stats = engine.query_with_stats(Q1_TEXT)
+        assert got.rows == ref.rows
         assert stats.chunks_pruned_zone > 0
-        assert stats.users_seen < dstats.users_seen
-        assert stats.users_qualified == dstats.users_qualified
+        assert stats.users_seen < ref_stats.users_seen
+        assert stats.users_qualified == ref_stats.users_qualified
 
     def test_pushdown_flag_same_result(self, engine):
         for executor in ("vectorized", "iterator"):

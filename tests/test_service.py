@@ -182,7 +182,7 @@ class TestFingerprints:
         q = engine.parse(QUERY)
         base = plan_fingerprint(q, "t")
         assert plan_fingerprint(q, "t", prune=False) != base
-        assert plan_fingerprint(q, "t", scan_mode="decoded") != base
+        assert plan_fingerprint(q, "t", pushdown=False) != base
         assert plan_fingerprint(q, "t") == base
 
 

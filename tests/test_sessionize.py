@@ -10,7 +10,8 @@ obvious pure-Python per-user loop; parity is checked two ways:
 * end to end — a table with the oracle's ordinals materialized as a
   stored measure column must produce row-identical results to the same
   query using ``SESSIONIZE`` over the column-free table, across every
-  executor, scan mode and backend, on single-file and sharded tables.
+  executor, pruning setting and backend, on single-file and sharded
+  tables.
 """
 
 import random
@@ -187,14 +188,13 @@ class TestSessionValuesUnit:
 class TestDerivedVsStoredParity:
     @pytest.mark.parametrize("query_name", sorted(QUERIES))
     @pytest.mark.parametrize("executor", ["vectorized", "iterator"])
-    @pytest.mark.parametrize("scan_mode", ["decoded", "compressed"])
-    def test_kernels_and_scan_modes(self, engines, query_name, executor,
-                                    scan_mode):
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_kernels_and_pruning(self, engines, query_name, executor,
+                                 prune):
         derived, stored = engines
         text, stored_text = _texts(query_name)
-        got = derived.query(text, executor=executor, scan_mode=scan_mode)
-        want = stored.query(stored_text, executor=executor,
-                            scan_mode=scan_mode)
+        got = derived.query(text, executor=executor, prune=prune)
+        want = stored.query(stored_text, executor=executor, prune=prune)
         assert got.rows == want.rows
         assert got.rows  # the workload is never vacuous
 

@@ -4,7 +4,7 @@ Covers the PR-5 tentpole: manifest round-trip and validation, the
 append-only ingestion path (new shard + atomic manifest replace,
 existing bytes untouched, user-disjointness enforced), lazy sharded
 loading, digest-exact query parity against a single-file table across
-kernels / backends / scan modes, per-shard pruning stats, composed
+kernels / backends / pruning on and off, per-shard pruning stats, composed
 version tokens, service invalidation on append (with warm caches on
 byte-identical reloads), the per-shard plan cache, and the ``ingest``
 CLI command.
@@ -219,16 +219,29 @@ class TestShardedExecution:
         return sharded, single
 
     @pytest.mark.parametrize("executor", ("vectorized", "iterator"))
-    @pytest.mark.parametrize("scan_mode", ("auto", "decoded",
-                                           "compressed"))
-    def test_digest_parity_across_modes(self, engines, executor,
-                                        scan_mode):
+    @pytest.mark.parametrize("prune", (True, False))
+    def test_digest_parity_per_kernel_and_prune(self, engines, executor,
+                                                prune):
         sharded, single = engines
         for text in (QUERY, ROLE_QUERY):
-            a = sharded.query(text, executor=executor,
-                              scan_mode=scan_mode)
-            b = single.query(text, executor=executor,
-                             scan_mode=scan_mode)
+            a = sharded.query(text, executor=executor, prune=prune)
+            b = single.query(text, executor=executor, prune=prune)
+            assert _digest(a) == _digest(b)
+
+    @pytest.mark.parametrize("executor", ("vectorized", "iterator"))
+    def test_digest_parity_against_v1_file(self, engines, tmp_path, game,
+                                           executor):
+        """A version-1 file has no zone maps, so its scan prunes nothing
+        by range; the pruned sharded scan must still answer the same."""
+        sharded, _ = engines
+        path = tmp_path / "G_v1.cohana"
+        save(compress(game.sorted_by_primary_key(), target_chunk_rows=64),
+             path, version=1)
+        legacy = CohanaEngine()
+        legacy.load_table("G", path)
+        for text in (QUERY, ROLE_QUERY):
+            a = sharded.query(text, executor=executor)
+            b = legacy.query(text, executor=executor)
             assert _digest(a) == _digest(b)
 
     @pytest.mark.parametrize("backend", ("threads", "processes"))
@@ -292,8 +305,7 @@ class TestShardedPruning:
         text = ('SELECT role, COHORTSIZE, AGE, UserCount() FROM G '
                 'BIRTH FROM action = "launch" AND country = "China" '
                 'COHORT BY role')
-        result, stats = eng.query_with_stats(text,
-                                             scan_mode="compressed")
+        result, stats = eng.query_with_stats(text)
         assert stats.shards_total == 3
         assert stats.shards_scanned == 1  # only the China shard
         assert stats.chunks_scanned == 1

@@ -1,12 +1,20 @@
 """Zone maps and compressed-domain scans: persistence round-trips,
-version-1 compatibility, pruning exactness, and decoded/compressed
-parity across the workload queries."""
+version-1 compatibility, pruning exactness, and parity of the scan
+against the unpruned row-at-a-time reference (``executor="iterator",
+prune=False``) across the workload queries."""
 
 import numpy as np
 import pytest
 
+from repro.bench.experiments import (
+    SELECTIVE_SET,
+    cohana_engine,
+    selective_queries,
+)
+from repro.bench.harness import dataset
 from repro.errors import ExecutionError, StorageError
 from repro.cohana import CohanaEngine, ExecutionConfig
+from repro.service.protocol import result_digest
 from repro.cohana.compressed import leaf_value_range, single_attr_name
 from repro.datagen import GameConfig, generate
 from repro.storage import (
@@ -18,12 +26,18 @@ from repro.storage import (
     encode_chunk_strings,
     serialize,
 )
-from repro.storage.format import SUPPORTED_VERSIONS, VERSION
+from repro.storage.format import SUPPORTED_VERSIONS, VERSION, load, save
 from repro.storage.raw import RawFloatColumn
 from repro.workloads import MAIN_QUERIES, queries as W
 
 
 TABLE = "GameActions"
+
+#: The reference every scan is checked against: the tuple-at-a-time
+#: kernel evaluates conditions row by row, and ``prune=False`` applies
+#: no metadata-derived bound, so a wrong zone-map or coded-domain bound
+#: on the default path shows up as a row mismatch.
+REFERENCE = {"executor": "iterator", "prune": False}
 
 #: Birth selections that exercise every coded-domain rewrite family:
 #: time ranges (delta), equality + IN (dict membership), string ranges
@@ -130,21 +144,23 @@ class TestPersistence:
 
     def test_v1_falls_back_to_unpruned_scans(self, table1):
         # A string range bound can only prune via persisted zone maps:
-        # the v2 table prunes the chunk whose country ids are all below
-        # the bound, the v1 load scans it — results identical.
+        # the v4 table prunes the chunk whose country ids are all below
+        # the bound, the v1 load scans it — results identical, and
+        # equal to the unpruned reference.
         text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
                 'BIRTH FROM action = "launch" AND country >= "China" '
                 'AND country <= "China" COHORT BY country')
         compressed = compress(table1, target_chunk_rows=4)
-        v2, v1 = CohanaEngine(), CohanaEngine()
-        v2.register("D", deserialize(serialize(compressed)))
+        v4, v1 = CohanaEngine(), CohanaEngine()
+        v4.register("D", deserialize(serialize(compressed)))
         v1.register("D", deserialize(serialize(compressed, version=1)))
-        res2, stats2 = v2.query_with_stats(text)
+        res4, stats4 = v4.query_with_stats(text)
         res1, stats1 = v1.query_with_stats(text)
-        assert res2.rows == res1.rows
-        assert stats2.chunks_pruned_zone > 0
+        assert res4.rows == res1.rows
+        assert res4.rows == v4.query(text, **REFERENCE).rows
+        assert stats4.chunks_pruned_zone > 0
         assert stats1.chunks_pruned_zone == 0
-        assert stats1.chunks_scanned > stats2.chunks_scanned
+        assert stats1.chunks_scanned > stats4.chunks_scanned
 
 
 class TestPruning:
@@ -154,12 +170,11 @@ class TestPruning:
         text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
                 'BIRTH FROM action = "launch" AND role = "dwarf" '
                 'COHORT BY country')
-        _, stats = eng.query_with_stats(text)
+        result, stats = eng.query_with_stats(text)
         assert stats.chunks_pruned_zone > 0
-        # The legacy mode scans those chunks and reaches the same rows.
-        res_auto = eng.query(text)
-        res_dec = eng.query(text, scan_mode="decoded")
-        assert res_auto.rows == res_dec.rows
+        # The unpruned reference scans those chunks and reaches the
+        # same rows.
+        assert result.rows == eng.query(text, **REFERENCE).rows
 
     def test_unsatisfiable_birth_condition_prunes_everything(self, table1):
         eng = CohanaEngine()
@@ -171,7 +186,7 @@ class TestPruning:
         assert result.rows == []
         assert stats.chunks_scanned == 0
         assert stats.chunks_pruned == stats.chunks_total
-        assert eng.query(text, scan_mode="decoded").rows == []
+        assert eng.query(text, **REFERENCE).rows == []
 
     def test_prune_counters_add_up(self, game_engine):
         for text in PARITY_QUERIES.values():
@@ -180,75 +195,109 @@ class TestPruning:
                 == stats.chunks_total
             assert stats.chunks_pruned_zone <= stats.chunks_pruned
 
-    def test_explain_shows_scan_mode_and_bounds(self, game_engine):
+    def test_explain_shows_prune_and_bounds(self, game_engine):
         text = game_engine.explain(PARITY_QUERIES["rare_country"])
-        assert "scan_mode=auto" in text
+        assert "prune=on" in text
         assert "bounds=" in text
+        assert "Execution(backend=serial, jobs=1)" in text
 
 
 class TestScanModeParity:
-    """scan_mode must never change results — only the work done."""
+    """The compressed-domain scan must equal the decoded row-at-a-time
+    reference: pruning and coded-domain evaluation change only the
+    work done, never the result."""
 
     @pytest.mark.parametrize("qname", sorted(PARITY_QUERIES))
     def test_compressed_equals_decoded(self, game_engine, qname):
         text = PARITY_QUERIES[qname]
-        decoded = game_engine.query(text, scan_mode="decoded")
-        compressed = game_engine.query(text, scan_mode="compressed")
-        auto = game_engine.query(text)
-        assert compressed.rows == decoded.rows
-        assert auto.rows == decoded.rows
-        assert compressed.columns == decoded.columns
+        reference = game_engine.query(text, **REFERENCE)
+        compressed = game_engine.query(text)
+        assert compressed.rows == reference.rows
+        assert compressed.columns == reference.columns
 
     @pytest.mark.parametrize("qname", ("Q4", "rare_country"))
     def test_parity_across_kernels_and_jobs(self, game_engine, qname):
         text = PARITY_QUERIES[qname]
-        base = game_engine.query(text, scan_mode="decoded")
+        base = game_engine.query(text, **REFERENCE)
         for executor in ("vectorized", "iterator"):
             for jobs in (1, 4):
                 got = game_engine.query(text, executor=executor,
-                                        jobs=jobs,
-                                        scan_mode="compressed")
+                                        jobs=jobs)
                 assert got.rows == base.rows
 
-    def test_v1_table_auto_mode_matches(self, game_engine):
-        # auto over a zone-map-less (v1) table degrades to decoded.
+    def test_v1_table_matches_v4(self, game_engine):
+        # A zone-map-less (v1) table runs the same evaluation, minus
+        # the zone-map comparisons: a string range bound prunes nothing
+        # there.
         legacy = deserialize(serialize(game_engine.table(TABLE),
                                        version=1))
         eng = CohanaEngine()
         eng.register(TABLE, legacy)
-        for qname in ("Q2", "rare_country"):
+        for qname in ("Q2", "rare_country", "country_range"):
             text = PARITY_QUERIES[qname]
-            assert eng.query(text).rows == \
-                game_engine.query(text, scan_mode="decoded").rows
+            rows = eng.query(text).rows
+            assert rows == game_engine.query(text).rows
+            assert rows == game_engine.query(text, **REFERENCE).rows
+        _, stats = eng.query_with_stats(PARITY_QUERIES["country_range"])
+        assert stats.chunks_pruned_zone == 0
+
+
+class TestSelectiveWorkloadPruning:
+    """Zone maps prune the selective workload at benchmark scale
+    (scale 8, 1024-row chunks) without changing a result."""
+
+    @pytest.mark.parametrize("qname", SELECTIVE_SET)
+    def test_zone_maps_prune_selective_queries(self, qname):
+        engine = cohana_engine(8, 1024)
+        text = selective_queries()[qname]
+        result, stats = engine.query_with_stats(text)
+        assert stats.chunks_pruned_zone > 0
+        reference = engine.query(text, **REFERENCE)
+        assert result_digest(result) == result_digest(reference)
+
+
+@pytest.fixture(scope="module")
+def on_disk_pair(tmp_path_factory):
+    """The same small benchmark table saved as v4 and as v1, loaded back
+    from disk so the processes backend can reopen it by path."""
+    root = tmp_path_factory.mktemp("formats")
+    compressed = compress(dataset(2), target_chunk_rows=256)
+    engines = {}
+    for version in (VERSION, 1):
+        path = root / f"v{version}.cohana"
+        save(compressed, path, version=version)
+        engine = CohanaEngine()
+        engine.register(TABLE, load(path))
+        engines[version] = engine
+    return engines
+
+
+class TestReferenceParityMatrix:
+    """Default path vs the reference for Q1-Q4 and every selective
+    query, on a v4 table and its v1 re-serialization, on every
+    backend."""
+
+    QUERIES = {**{name: fn(TABLE) for name, fn in MAIN_QUERIES.items()},
+               **selective_queries(TABLE)}
+
+    @pytest.mark.parametrize("version", (VERSION, 1))
+    @pytest.mark.parametrize("backend,jobs", (("serial", 1),
+                                              ("threads", 2),
+                                              ("processes", 2)))
+    def test_digest_parity(self, on_disk_pair, version, backend, jobs):
+        engine = on_disk_pair[version]
+        reference = on_disk_pair[VERSION]
+        for text in self.QUERIES.values():
+            want = result_digest(reference.query(text, **REFERENCE))
+            got = engine.query(text, backend=backend, jobs=jobs)
+            assert result_digest(got) == want, text
 
 
 class TestConfigAndCli:
-    def test_bad_scan_mode_rejected(self):
-        with pytest.raises(ExecutionError, match="scan_mode"):
-            ExecutionConfig(scan_mode="turbo")
-
     def test_config_and_loose_options_conflict(self, game_engine):
         with pytest.raises(ExecutionError, match="not both"):
             game_engine.query(PARITY_QUERIES["Q1"],
-                              config=ExecutionConfig(),
-                              scan_mode="compressed")
-
-    def test_cli_scan_mode(self, tmp_path, capsys):
-        from repro.cli import main
-        csv = tmp_path / "d.csv"
-        store = tmp_path / "d.cohana"
-        assert main(["generate", str(csv), "--users", "8"]) == 0
-        assert main(["compress", str(csv), str(store),
-                     "--chunk-rows", "64"]) == 0
-        text = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM G '
-                'BIRTH FROM action = "launch" COHORT BY country')
-        capsys.readouterr()  # drop generate/compress chatter
-        outputs = []
-        for mode in ("decoded", "compressed"):
-            assert main(["query", str(store), text,
-                         "--scan-mode", mode]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+                              config=ExecutionConfig(), jobs=2)
 
 
 class TestCompressedHelpers:
@@ -323,7 +372,7 @@ class TestFloatColumnBounds:
             birth_condition=Compare(AttrRef("score"), "<", Literal(5)),
             table="D",
         )
-        decoded = float_engine.query(query, scan_mode="decoded")
-        compressed = float_engine.query(query, scan_mode="compressed")
-        assert decoded.rows == compressed.rows
-        assert len(decoded.rows) == 1  # the US user qualifies
+        reference = float_engine.query(query, **REFERENCE)
+        compressed = float_engine.query(query)
+        assert reference.rows == compressed.rows
+        assert len(reference.rows) == 1  # the US user qualifies

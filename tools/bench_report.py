@@ -2,8 +2,8 @@
 """Aggregate ``BENCH_*.json`` records into one Markdown report.
 
 Every recorded experiment (``benchmarks/run_all.py``) writes a JSON
-payload — parallel scaling, compressed-domain scans, the service
-cache, the HTTP serving tier, shard appends, materialized views. This
+payload — parallel scaling, the service cache, the HTTP serving
+tier, shard appends, materialized views, compaction. This
 tool renders them as a
 single Markdown document: a summary table (one row per experiment with
 its pass/fail verdicts) followed by a per-experiment trajectory table,
